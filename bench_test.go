@@ -18,10 +18,8 @@ import (
 	"testing"
 
 	"repro/internal/benchsuite"
-	"repro/internal/consistency"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/history"
 	"repro/internal/oracle"
 	"repro/internal/protocols"
 	"repro/internal/protocols/algorand"
@@ -168,41 +166,6 @@ func BenchmarkAblationSynchrony(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationCheckerStrategy compares the O(r²) pairwise Strong
-// Prefix checker against the sorted O(r log r) variant on a long
-// prefix-ordered history (DESIGN.md ablation #4).
-func BenchmarkAblationCheckerStrategy(b *testing.B) {
-	chain := core.GenesisChain()
-	for i := 1; i <= 400; i++ {
-		h := chain.Head()
-		chain = chain.Append(core.NewBlock(h.ID, h.Height+1, 0, i, []byte{byte(i)}))
-	}
-	rec := history.NewRecorder(4, nil)
-	for _, blk := range chain[1:] {
-		rec.Append(0, blk, true)
-	}
-	for i := 1; i <= 400; i++ {
-		rec.Read(i%4, chain[:i+1])
-	}
-	h := rec.Snapshot()
-	chk := consistency.NewChecker(nil, nil)
-
-	b.Run("pairwise", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !chk.StrongPrefix(h).OK {
-				b.Fatal("violation on clean history")
-			}
-		}
-	})
-	b.Run("sorted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !chk.StrongPrefixFast(h).OK {
-				b.Fatal("violation on clean history")
-			}
-		}
-	})
 }
 
 // buildScalingTree builds an n-block tree of the given shape for the

@@ -91,7 +91,7 @@ func (s *sysFunc) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("btsim: %s: %w", s.info.Name, err)
 	}
 	cfg.system = s.info.Name
-	if cfg.Monitor || cfg.Streaming {
+	if (cfg.Monitor || cfg.Streaming) && !cfg.Live { // live runs host their own monitor
 		cfg.monrun = &monitorRun{
 			k:         cfg.MonitorK,
 			streaming: cfg.Streaming,

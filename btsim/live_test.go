@@ -1,6 +1,7 @@
 package btsim_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/btsim"
@@ -72,7 +73,8 @@ func TestLiveConformanceFabric(t *testing.T)  { checkLiveBenign(t, "fabric") }
 
 func TestLiveRejectsSimulationKnobs(t *testing.T) {
 	cases := [][]btsim.Option{
-		{btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithMonitor(nil)},
+		{btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithStreaming(0)},
+		{btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithMonitorCheckpoint(10)},
 		{btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithShards(4)},
 		{btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithCrashes(btsim.Crash{Proc: 1, Start: 1, End: 2})},
 		{btsim.WithLive("carrier-pigeon"), btsim.WithLiveAppends(5)},
@@ -83,5 +85,29 @@ func TestLiveRejectsSimulationKnobs(t *testing.T) {
 		if _, err := btsim.Run("bitcoin", opts...); err == nil {
 			t.Errorf("case %d: invalid live config accepted", i)
 		}
+	}
+}
+
+// TestLiveMonitorOptions: the simulation's monitor options configure a
+// live run's own monitor — WithMonitorK adds the k-Fork Coherence
+// report — while the bounded-memory options stay rejected by name.
+func TestLiveMonitorOptions(t *testing.T) {
+	res, err := btsim.Run("bitcoin",
+		btsim.WithN(4), btsim.WithSeed(42),
+		btsim.WithLive("chan"), btsim.WithLiveAppends(10),
+		btsim.WithMonitor(nil), btsim.WithMonitorK(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kf := res.Live.KFork; kf == nil || kf.Property != "1-ForkCoherence" {
+		t.Fatalf("live k-fork report = %v, want 1-ForkCoherence", kf)
+	}
+	if res.Stream != nil {
+		t.Fatal("live run also attached a simulation monitor")
+	}
+	_, err = btsim.Run("bitcoin",
+		btsim.WithLive("chan"), btsim.WithLiveAppends(5), btsim.WithStreaming(0))
+	if err == nil || !strings.Contains(err.Error(), "WithStreaming") {
+		t.Fatalf("WithLive + WithStreaming: err = %v, want a rejection naming WithStreaming", err)
 	}
 }

@@ -266,12 +266,6 @@ type Config struct {
 	LiveSpray bool
 	// LiveCrash schedules one crash/restart during the live load.
 	LiveCrash *LiveCrash
-	// LiveK, when > 0, adds the k-Fork Coherence report to the live
-	// monitor's output.
-	LiveK int
-	// LiveWitness streams every live violation witness as the online
-	// monitor forms it.
-	LiveWitness func(consistency.Witness)
 
 	// system is stamped by System.Run before the adapter sees the
 	// Config, so Base can label Progress events.
@@ -379,7 +373,10 @@ func WithFaultLog(on bool) Option { return func(c *Config) { c.FaultLog = on } }
 // delivered to onWitness (may be nil) the moment they form, and
 // Result.Stream carries the finalized streaming verdicts — equivalent
 // to the batch Check() — alongside the batch history, which is still
-// retained.
+// retained. On a live run, which always hosts its own monitor,
+// onWitness receives that monitor's witnesses instead (called from the
+// monitor consumer goroutine; keep it fast) and the verdicts are in
+// Result.Live.
 func WithMonitor(onWitness func(consistency.Witness)) Option {
 	return func(c *Config) {
 		c.Monitor = true
@@ -389,7 +386,7 @@ func WithMonitor(onWitness func(consistency.Witness)) Option {
 
 // WithMonitorK additionally tracks k-Fork Coherence online with the
 // given bound (live witnesses at the (k+1)-th token reuse). Implies
-// WithMonitor.
+// WithMonitor. On a live run the report is Result.Live.KFork.
 func WithMonitorK(k int) Option {
 	return func(c *Config) {
 		c.Monitor = true
@@ -521,19 +518,6 @@ func WithLiveCrash(crash LiveCrash) Option {
 	return func(c *Config) { c.LiveCrash = &crash }
 }
 
-// WithLiveK adds the k-Fork Coherence report to a live run's monitor
-// output.
-func WithLiveK(k int) Option {
-	return func(c *Config) { c.LiveK = k }
-}
-
-// WithLiveWitness streams every live violation witness as the online
-// monitor forms it (called from the monitor consumer goroutine; keep it
-// fast).
-func WithLiveWitness(fn func(consistency.Witness)) Option {
-	return func(c *Config) { c.LiveWitness = fn }
-}
-
 // validate rejects configurations no system can run.
 func (c Config) validate() error {
 	if c.N < 0 {
@@ -605,8 +589,8 @@ func (c Config) validate() error {
 		// it is deterministic — every simulation-only knob is rejected so
 		// a caller cannot silently get a run that ignores half its options.
 		switch {
-		case c.Monitor || c.Streaming:
-			return fmt.Errorf("live runs attach their own online monitor (drop WithMonitor/WithStreaming; use WithLiveWitness/WithLiveK)")
+		case c.Streaming || c.MonitorCheckpoint > 0:
+			return fmt.Errorf("live runs always check online and keep their history (drop WithStreaming/WithMonitorCheckpoint; WithMonitor/WithMonitorK configure the live monitor)")
 		case c.Metrics || c.MetricsEvery > 0 || c.TraceW != nil:
 			return fmt.Errorf("live runs measure their own metrics (drop WithMetrics/WithTrace; see Result.Live)")
 		case len(c.Faults) > 0 || len(c.Crashes) > 0 || c.Drop != nil:
@@ -614,7 +598,7 @@ func (c Config) validate() error {
 		case c.Adversary.Strategy != "":
 			return fmt.Errorf("live runs do not support adversaries")
 		case c.Observer != nil:
-			return fmt.Errorf("live runs do not support WithObserver (use WithLiveWitness)")
+			return fmt.Errorf("live runs do not support WithObserver (use WithMonitor for live witnesses)")
 		case c.Shards > 1:
 			return fmt.Errorf("live runs are already concurrent (drop WithShards)")
 		}
@@ -629,7 +613,7 @@ func (c Config) validate() error {
 		}
 	} else if c.LiveTransport != "" || c.LiveClients > 0 || c.LiveRate > 0 ||
 		c.LiveDuration > 0 || c.LiveAppends > 0 || c.LiveSpray ||
-		c.LiveCrash != nil || c.LiveK > 0 || c.LiveWitness != nil {
+		c.LiveCrash != nil {
 		return fmt.Errorf("live load options require WithLive")
 	}
 	return nil
@@ -715,8 +699,8 @@ func (c Config) Base() protocols.Config {
 			Duration:   c.LiveDuration,
 			MaxAppends: c.LiveAppends,
 			Spray:      c.LiveSpray,
-			K:          c.LiveK,
-			OnWitness:  c.LiveWitness,
+			K:          c.MonitorK,
+			OnWitness:  c.OnWitness,
 		}
 		if c.LiveCrash != nil {
 			lc.Crash = &transport.CrashSpec{

@@ -9,8 +9,8 @@ import (
 // StreamOutcome is the online-monitor side of a Result: the verdicts an
 // attached consistency.Monitor reached by watching the run's history as
 // it was recorded, instead of classifying the batch snapshot post-hoc.
-// For any completed run the two agree (the monitor's Finalize is
-// specified — and diff-tested — to be equivalent to batch Classify);
+// For any completed run the two agree (Classify replays the same
+// Monitor over the snapshot, and the catalogue tests diff the two);
 // the streaming side additionally carries the witnesses that were
 // emitted live, and with WithStreaming it is the only verdict there is,
 // since the run retained no batch history.

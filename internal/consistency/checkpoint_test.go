@@ -122,7 +122,7 @@ func countOps(procs int, build func(rec *history.Recorder)) int {
 // TestCheckpointEveryCutEquivalence injects the checkpoint/restore
 // cycle after every possible prefix of the deterministic workload and
 // requires Finalize (and KForkReport) to match both the uninterrupted
-// monitor and batch Classify byte-for-byte.
+// monitor and the batch oracle byte-for-byte.
 func TestCheckpointEveryCutEquivalence(t *testing.T) {
 	const procs, k = 3, 1
 	total := countOps(procs, ckptBuild)
@@ -134,7 +134,7 @@ func TestCheckpointEveryCutEquivalence(t *testing.T) {
 	ref, h := runCheckpointed(t, procs, 0, k, -1, ckptBuild)
 	rsc, rec := ref.Finalize()
 	chk := NewChecker(nil, nil)
-	bsc, bec := chk.Classify(h)
+	bsc, bec := oracleClassify(chk, h)
 	if got, want := verdictDump(rsc), verdictDump(bsc); got != want {
 		t.Fatalf("uninterrupted stream disagrees with batch:\n--- batch ---\n%s--- stream ---\n%s", want, got)
 	}
@@ -245,12 +245,15 @@ func TestCheckpointValidation(t *testing.T) {
 // FuzzMonitorCheckpoint drives the randomized fuzzBuild streams with a
 // checkpoint/restore cycle injected at a fuzz-chosen position and
 // requires the finalized verdicts (and both k-fork reports) to equal
-// batch Classify on the full history — the cut must be invisible.
+// the uninterrupted Classify byte for byte — the cut must be invisible
+// — and the batch oracle byte for byte on atomic streams (per-property
+// OK flags otherwise).
 func FuzzMonitorCheckpoint(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 3, 8, 11, 2, 3, 19, 4})
 	f.Add(uint8(9), []byte{0, 0, 2, 3, 11, 3, 2, 11, 3, 5, 45, 5, 6, 70, 6, 3})
 	f.Add(uint8(1), []byte{7, 71, 15, 0, 2, 3, 3, 3, 7, 7, 13, 5, 101, 6, 66, 4, 12, 20, 28})
 	f.Add(uint8(250), []byte{1, 9, 17, 25, 33, 41, 49, 57, 3, 11, 19, 27, 2, 10, 18, 26, 4, 12})
+	f.Add(uint8(6), []byte{0, 0, 196, 204, 212, 3, 11, 19, 200, 208, 2, 192, 4, 12, 20, 196, 10, 204, 3, 11, 19})
 	f.Fuzz(func(t *testing.T, cutByte uint8, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -280,15 +283,23 @@ func FuzzMonitorCheckpoint(f *testing.F) {
 
 		chk := NewChecker(nil, nil)
 		chk.Horizon = horizon
-		bsc, bec := chk.Classify(h)
-		if got, want := verdictDump(msc), verdictDump(bsc); got != want {
+		csc, cec := chk.Classify(h)
+		if got, want := verdictDump(msc)+verdictDump(mec), verdictDump(csc)+verdictDump(cec); got != want {
+			t.Errorf("cut=%d/%d checkpointed monitor differs from Classify:\n--- Classify ---\n%s--- checkpointed ---\n%s", cut, total, want, got)
+		}
+		bsc, bec := oracleClassify(chk, h)
+		dump := verdictDump
+		if !isAtomic(h) {
+			dump = verdictOKs
+		}
+		if got, want := dump(msc), dump(bsc); got != want {
 			t.Errorf("cut=%d/%d SC mismatch:\n--- batch ---\n%s--- checkpointed ---\n%s", cut, total, want, got)
 		}
-		if got, want := verdictDump(mec), verdictDump(bec); got != want {
+		if got, want := dump(mec), dump(bec); got != want {
 			t.Errorf("cut=%d/%d EC mismatch:\n--- batch ---\n%s--- checkpointed ---\n%s", cut, total, want, got)
 		}
 		for _, k := range []int{1, 2} {
-			if got, want := reportDump(sink.mon.KForkReport(k)), reportDump(chk.KForkCoherence(h, k)); got != want {
+			if got, want := reportDump(sink.mon.KForkReport(k)), reportDump(oracleKFork(h, k)); got != want {
 				t.Errorf("cut=%d/%d KFork(%d) mismatch:\n--- batch ---\n%s--- checkpointed ---\n%s", cut, total, k, want, got)
 			}
 		}

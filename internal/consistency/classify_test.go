@@ -9,14 +9,14 @@ import (
 	"repro/internal/history"
 )
 
-// refEventualPrefix is the pre-rewrite Eventual Prefix checker, kept
-// verbatim (modulo the Chain() accessor) as the reference the one-pass
-// variant is pinned against: same verdict, same fact count, same
+// refEventualPrefix is the naive Eventual Prefix enumeration (every
+// window pair re-scored per read), the reference Classify's Eventual
+// Prefix is pinned against: same verdict, same fact count, same
 // violation messages.
 func refEventualPrefix(c *Checker, h *history.History) *Report {
 	rep := &Report{Property: "EventualPrefix", OK: true}
 	reads := h.Reads()
-	w := c.window(h)
+	w := oracleWindow(c, h)
 	if w > len(reads) {
 		w = len(reads)
 	}
@@ -84,15 +84,14 @@ func randomHistory(rng *rand.Rand, procs, nReads int) *history.History {
 	return rec.Snapshot()
 }
 
-// TestEventualPrefixMatchesReference pins the one-pass Eventual Prefix
-// (window MCPS computed once, slow-path replay on divergence) against
-// the pre-rewrite enumeration on randomized histories.
+// TestEventualPrefixMatchesReference pins Classify's Eventual Prefix
+// against the naive enumeration on randomized histories.
 func TestEventualPrefixMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		h := randomHistory(rng, 2+rng.Intn(3), 3+rng.Intn(12))
 		chk := NewChecker(nil, nil)
-		got := chk.EventualPrefix(h)
+		got := classified(chk, h, "EventualPrefix")
 		want := refEventualPrefix(NewChecker(nil, nil), h)
 		if got.OK != want.OK || got.Checked != want.Checked {
 			t.Fatalf("trial %d: (ok=%v checked=%d) vs reference (ok=%v checked=%d)",
@@ -104,35 +103,24 @@ func TestEventualPrefixMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSortedStrongPrefixMatchesPairwise pins the criterion-level sorted
-// Strong Prefix verdict against the exact pairwise checker on the same
-// randomized histories.
+// TestSortedStrongPrefixMatchesPairwise pins Classify's sorted Strong
+// Prefix verdict against the pairwise oracle on the same randomized
+// histories.
 func TestSortedStrongPrefixMatchesPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		h := randomHistory(rng, 2+rng.Intn(3), 3+rng.Intn(12))
 		chk := NewChecker(nil, nil)
-		pairwise := chk.StrongPrefix(h)
-		sc := chk.StrongConsistency(h)
-		var sorted *Report
-		for _, r := range sc.Reports {
-			if r.Property == "StrongPrefix" {
-				sorted = r
-			}
-		}
-		if sorted == nil {
-			t.Fatal("SC verdict missing StrongPrefix report")
-		}
-		if sorted.OK != pairwise.OK {
+		pairwise := newBatchOracle(chk, h).strongPrefixPairwise()
+		if sorted := classified(chk, h, "StrongPrefix"); sorted.OK != pairwise.OK {
 			t.Fatalf("trial %d: sorted verdict %v, pairwise %v", trial, sorted.OK, pairwise.OK)
 		}
 	}
 }
 
 // zeroScore is a degenerate (non-strictly-monotonic) score: every chain
-// scores 0. The criterion-level sorted Strong Prefix must still agree
-// with the exact pairwise checker under it — the sort key is chain
-// length, not score.
+// scores 0. Classify's sorted Strong Prefix must still agree with the
+// pairwise oracle under it — the sort key is chain length, not score.
 type zeroScore struct{}
 
 func (zeroScore) Of(core.Chain) int { return 0 }
@@ -152,55 +140,79 @@ func TestSortedStrongPrefixDegenerateScore(t *testing.T) {
 	hist := rec.Snapshot()
 
 	chk := NewChecker(zeroScore{}, nil)
-	if !chk.StrongPrefix(hist).OK {
-		t.Fatal("pairwise checker rejected comparable reads")
+	if !newBatchOracle(chk, hist).strongPrefixPairwise().OK {
+		t.Fatal("pairwise oracle rejected comparable reads")
 	}
-	sc := chk.StrongConsistency(hist)
-	for _, r := range sc.Reports {
-		if r.Property == "StrongPrefix" && !r.OK {
-			t.Fatalf("sorted StrongPrefix false violation under degenerate score: %v", r.Violations)
-		}
-	}
-	if !chk.StrongPrefixFast(hist).OK {
-		t.Fatal("StrongPrefixFast false violation under degenerate score")
+	if rep := classified(chk, hist, "StrongPrefix"); !rep.OK {
+		t.Fatalf("sorted StrongPrefix false violation under degenerate score: %v", rep.Violations)
 	}
 }
 
-// TestClassifySharesReports checks single-pass Classify: the three
-// properties common to SC and EC are computed once and shared by
-// pointer between the two verdicts.
+// TestClassifySharesReports checks that the three properties common to
+// SC and EC are one report each, shared by pointer between the two
+// verdicts.
 func TestClassifySharesReports(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h := randomHistory(rng, 3, 8)
 	chk := NewChecker(nil, nil)
 	sc, ec := chk.Classify(h)
-	if sc.Reports[0] != ec.Reports[0] { // BlockValidity
-		t.Fatal("BlockValidity recomputed per criterion")
-	}
-	if sc.Reports[1] != ec.Reports[1] { // LocalMonotonicRead
-		t.Fatal("LocalMonotonicRead recomputed per criterion")
-	}
-	if sc.Reports[3] != ec.Reports[2] { // EverGrowingTree
-		t.Fatal("EverGrowingTree recomputed per criterion")
+	for _, p := range []string{"BlockValidity", "LocalMonotonicRead", "EverGrowingTree"} {
+		if sc.Report(p) == nil || sc.Report(p) != ec.Report(p) {
+			t.Fatalf("%s recomputed per criterion", p)
+		}
 	}
 }
 
 // TestCheckerCacheInvalidation: changing Score, P or Horizon between
-// calls on the same history must not reuse stale artifacts.
+// calls on the same history must be picked up — no state survives a
+// Classify call.
 func TestCheckerCacheInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	h := randomHistory(rng, 2, 6)
 	chk := NewChecker(core.LengthScore{}, nil)
-	wide := chk.EventualPrefix(h).Checked // default window (≥ 2 reads)
-	chk.Horizon = 1                       // window of one read: no pairs at all
-	if got := chk.EventualPrefix(h).Checked; got != 0 {
+	wide := classified(chk, h, "EventualPrefix").Checked // default window (≥ 2 reads)
+	chk.Horizon = 1                                      // window of one read: no pairs at all
+	if got := classified(chk, h, "EventualPrefix").Checked; got != 0 {
 		t.Fatalf("horizon change not picked up: checked %d (default window had %d)", got, wide)
 	}
 	chk.Horizon = 0
 	chk.Score = core.WeightScore{}
-	// Must recompute with the new score without reusing stale score
-	// caches; weights are all 1 so the fact count matches the first run.
-	if got := chk.EventualPrefix(h).Checked; got != wide {
+	// Weights are all 1 so the fact count matches the first run.
+	if got := classified(chk, h, "EventualPrefix").Checked; got != wide {
 		t.Fatalf("score change not picked up: checked %d, want %d", got, wide)
 	}
+	chk.P = core.RejectAll{}
+	if classified(chk, h, "BlockValidity").OK {
+		t.Fatal("predicate change not picked up")
+	}
+}
+
+// BenchmarkAblationCheckerStrategy compares the pairwise O(r²) Strong
+// Prefix oracle against Classify — the Monitor replay, whose Strong
+// Prefix checks only adjacent pairs of the length-sorted reads — on a
+// long prefix-ordered history (DESIGN.md ablation #4).
+func BenchmarkAblationCheckerStrategy(b *testing.B) {
+	chain := chainN(400)
+	rec := history.NewRecorder(4, nil)
+	recordChain(rec, chain)
+	for i := 1; i <= 400; i++ {
+		rec.Read(i%4, chain[:i+1])
+	}
+	h := rec.Snapshot()
+	chk := NewChecker(nil, nil)
+
+	b.Run("pairwise", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !newBatchOracle(chk, h).strongPrefixPairwise().OK {
+				b.Fatal("violation on clean history")
+			}
+		}
+	})
+	b.Run("classify", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if sc, _ := chk.Classify(h); !sc.OK {
+				b.Fatal("violation on clean history")
+			}
+		}
+	})
 }

@@ -8,6 +8,15 @@ import (
 	"repro/internal/history"
 )
 
+// classified returns the named property's report from chk.Classify(h).
+func classified(chk *Checker, h *history.History, property string) *Report {
+	sc, ec := chk.Classify(h)
+	if r := sc.Report(property); r != nil {
+		return r
+	}
+	return ec.Report(property)
+}
+
 // chainN builds a canonical chain of n blocks after genesis.
 func chainN(n int) core.Chain {
 	c := core.GenesisChain()
@@ -47,7 +56,7 @@ func TestBlockValidityHolds(t *testing.T) {
 	c := chainN(3)
 	recordChain(rec, c)
 	rec.Read(0, c)
-	rep := NewChecker(nil, nil).BlockValidity(rec.Snapshot())
+	rep := classified(NewChecker(nil, nil), rec.Snapshot(), "BlockValidity")
 	if !rep.OK {
 		t.Fatalf("violated: %v", rep.Violations)
 	}
@@ -63,7 +72,7 @@ func TestBlockValidityMissingAppend(t *testing.T) {
 	// nowhere.
 	rec.Append(0, c[1], true)
 	rec.Read(0, c)
-	rep := NewChecker(nil, nil).BlockValidity(rec.Snapshot())
+	rep := classified(NewChecker(nil, nil), rec.Snapshot(), "BlockValidity")
 	if rep.OK {
 		t.Fatal("missing append not detected")
 	}
@@ -74,7 +83,7 @@ func TestBlockValidityAppendAfterRead(t *testing.T) {
 	c := chainN(1)
 	rec.Read(0, c) // read before the append exists
 	rec.Append(0, c[1], true)
-	rep := NewChecker(nil, nil).BlockValidity(rec.Snapshot())
+	rep := classified(NewChecker(nil, nil), rec.Snapshot(), "BlockValidity")
 	if rep.OK {
 		t.Fatal("read of future block not detected")
 	}
@@ -85,7 +94,7 @@ func TestBlockValidityPredicate(t *testing.T) {
 	c := chainN(1)
 	recordChain(rec, c)
 	rec.Read(0, c)
-	rep := NewChecker(nil, core.RejectAll{}).BlockValidity(rec.Snapshot())
+	rep := classified(NewChecker(nil, core.RejectAll{}), rec.Snapshot(), "BlockValidity")
 	if rep.OK {
 		t.Fatal("P(b)=false block accepted")
 	}
@@ -99,7 +108,7 @@ func TestLocalMonotonicRead(t *testing.T) {
 	rec.Read(0, c)     // score 3: fine
 	rec.Read(1, c)     // other process
 	rec.Read(1, c[:2]) // score drops 3 → 1: violation
-	rep := NewChecker(nil, nil).LocalMonotonicRead(rec.Snapshot())
+	rep := classified(NewChecker(nil, nil), rec.Snapshot(), "LocalMonotonicRead")
 	if rep.OK {
 		t.Fatal("score drop not detected")
 	}
@@ -114,7 +123,7 @@ func TestLocalMonotonicReadAllowsPlateau(t *testing.T) {
 	recordChain(rec, c)
 	rec.Read(0, c)
 	rec.Read(0, c) // same score: allowed (≤)
-	rep := NewChecker(nil, nil).LocalMonotonicRead(rec.Snapshot())
+	rep := classified(NewChecker(nil, nil), rec.Snapshot(), "LocalMonotonicRead")
 	if !rep.OK {
 		t.Fatal("plateau rejected")
 	}
@@ -127,7 +136,7 @@ func TestLocalMonotonicReadAllowsBranchSwitchSameScore(t *testing.T) {
 	recordChain(rec, a, b)
 	rec.Read(0, a)
 	rec.Read(0, b) // different branch, same score
-	rep := NewChecker(nil, nil).LocalMonotonicRead(rec.Snapshot())
+	rep := classified(NewChecker(nil, nil), rec.Snapshot(), "LocalMonotonicRead")
 	if !rep.OK {
 		t.Fatalf("same-score branch switch rejected: %v", rep.Violations)
 	}
@@ -142,11 +151,11 @@ func TestStrongPrefixDetectsDivergence(t *testing.T) {
 	rec.Read(1, b)
 	chk := NewChecker(nil, nil)
 	h := rec.Snapshot()
-	if chk.StrongPrefix(h).OK {
+	if newBatchOracle(chk, h).strongPrefixPairwise().OK {
 		t.Fatal("divergence not detected")
 	}
-	if chk.StrongPrefixFast(h).OK {
-		t.Fatal("fast variant missed divergence")
+	if classified(chk, h, "StrongPrefix").OK {
+		t.Fatal("Classify missed divergence")
 	}
 }
 
@@ -159,7 +168,7 @@ func TestStrongPrefixHoldsOnPrefixes(t *testing.T) {
 	rec.Read(0, c)
 	chk := NewChecker(nil, nil)
 	h := rec.Snapshot()
-	if !chk.StrongPrefix(h).OK || !chk.StrongPrefixFast(h).OK {
+	if !newBatchOracle(chk, h).strongPrefixPairwise().OK || !classified(chk, h, "StrongPrefix").OK {
 		t.Fatal("prefix-ordered reads rejected")
 	}
 }
@@ -172,7 +181,7 @@ func TestEverGrowingTree(t *testing.T) {
 		rec.Read(0, c[:i+1])
 	}
 	chk := NewChecker(nil, nil)
-	if rep := chk.EverGrowingTree(rec.Snapshot()); !rep.OK {
+	if rep := classified(chk, rec.Snapshot(), "EverGrowingTree"); !rep.OK {
 		t.Fatalf("growing reads rejected: %v", rep.Violations)
 	}
 }
@@ -194,10 +203,10 @@ func TestEverGrowingTreeStuckProcess(t *testing.T) {
 	rec.Read(1, full[:1]) // still stuck in the final window
 	chk := NewChecker(nil, nil)
 	h := rec.Snapshot()
-	if rep := chk.EverGrowingTree(h); rep.OK {
+	if rep := classified(chk, h, "EverGrowingTree"); rep.OK {
 		t.Fatal("persistent stagnation not detected")
 	}
-	if rep := chk.EventualPrefix(h); !rep.OK {
+	if rep := classified(chk, h, "EventualPrefix"); !rep.OK {
 		t.Fatalf("prefix-stuck process flagged as divergence: %v", rep.Violations)
 	}
 }
@@ -213,7 +222,7 @@ func TestEverGrowingTreeViolated(t *testing.T) {
 	rec.Read(1, c[:2]) // still 1
 	rec.Read(0, c)     // score 4 — growth
 	rec.Read(1, c[:2]) // stagnant in the final window
-	if rep := NewChecker(nil, nil).EverGrowingTree(rec.Snapshot()); rep.OK {
+	if rep := classified(NewChecker(nil, nil), rec.Snapshot(), "EverGrowingTree"); rep.OK {
 		t.Fatal("stagnant reads accepted")
 	}
 }
@@ -228,7 +237,7 @@ func TestEverGrowingTreeFrontierExempt(t *testing.T) {
 	rec.Read(1, c[:3])
 	rec.Read(0, c)
 	rec.Read(1, c)
-	if rep := NewChecker(nil, nil).EverGrowingTree(rec.Snapshot()); !rep.OK {
+	if rep := classified(NewChecker(nil, nil), rec.Snapshot(), "EverGrowingTree"); !rep.OK {
 		t.Fatalf("frontier reads flagged: %v", rep.Violations)
 	}
 }
@@ -243,7 +252,7 @@ func TestEventualPrefixDivergenceDetected(t *testing.T) {
 	rec.Read(1, b[:3])
 	rec.Read(0, a)
 	rec.Read(1, b)
-	if rep := NewChecker(nil, nil).EventualPrefix(rec.Snapshot()); rep.OK {
+	if rep := classified(NewChecker(nil, nil), rec.Snapshot(), "EventualPrefix"); rep.OK {
 		t.Fatal("persistent branch divergence not detected")
 	}
 }
@@ -259,7 +268,7 @@ func TestEventualPrefixConvergence(t *testing.T) {
 	rec.Read(1, a[:4])
 	rec.Read(0, a)
 	rec.Read(1, a)
-	rep := NewChecker(nil, nil).EventualPrefix(rec.Snapshot())
+	rep := classified(NewChecker(nil, nil), rec.Snapshot(), "EventualPrefix")
 	if !rep.OK {
 		t.Fatalf("converging history rejected: %v", rep.Violations)
 	}
@@ -337,7 +346,7 @@ func TestFaultyReadsExcluded(t *testing.T) {
 	rec.Read(1, b) // Byzantine process reads garbage
 	rec.MarkFaulty(1)
 	chk := NewChecker(nil, nil)
-	if !chk.StrongPrefix(rec.Snapshot()).OK {
+	if !classified(chk, rec.Snapshot(), "StrongPrefix").OK {
 		t.Fatal("faulty process's read affected Strong Prefix")
 	}
 }
@@ -373,7 +382,8 @@ func TestQuickSCImpliesEC(t *testing.T) {
 	}
 }
 
-// Property: the pairwise and sorted Strong Prefix checkers agree.
+// Property: the pairwise oracle and Classify's sorted Strong Prefix
+// agree.
 func TestQuickStrongPrefixVariantsAgree(t *testing.T) {
 	full := chainN(10)
 	alt := forkN(full, 3, 7)
@@ -390,7 +400,7 @@ func TestQuickStrongPrefixVariantsAgree(t *testing.T) {
 		}
 		h := rec.Snapshot()
 		chk := NewChecker(nil, nil)
-		return chk.StrongPrefix(h).OK == chk.StrongPrefixFast(h).OK
+		return newBatchOracle(chk, h).strongPrefixPairwise().OK == classified(chk, h, "StrongPrefix").OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,10 @@
-// The online Monitor family: the batch checkers of consistency.go
-// refactored into incremental form. A Monitor implements history.Sink —
-// operations are fed to it the moment their response is recorded — and
-// maintains O(tree + window) state instead of the whole history:
+// The Monitor is the package's one implementation of the §3
+// properties. It implements history.Sink — operations are fed to it
+// the moment their response is recorded — and keeps O(tree + window)
+// state instead of the whole history. Checker.Classify and
+// Checker.KForkCoherence replay a finished history through a fresh
+// Monitor, so online and after-the-fact checking are the same code.
+// The state it keeps per property:
 //
 //   - StrongPrefix: per-chain-length run-length structure over the
 //     interned chain handles, plus a live comparability probe against
@@ -15,15 +18,72 @@
 //   - BlockValidity / LocalMonotonicRead: incremental per-chain facts
 //     and per-process previous-read state.
 //
+// Property semantics. "Reads" are the completed reads of correct
+// processes (Definition 4.2); a process must be marked faulty before
+// its first read.
+//
+//   - Block Validity (Definition 3.2): every non-genesis block of every
+//     read chain satisfies P and was the argument of an append() whose
+//     invocation precedes the read's response (pending and failed
+//     appends count — only the invocation matters). Checked counts the
+//     non-genesis blocks of the read chains.
+//   - Local Monotonic Read: along each correct process's reads the
+//     returned scores never decrease. Checked counts consecutive pairs.
+//   - Strong Prefix: every two reads return prefix-comparable chains.
+//     Reads are ordered by chain length (equal lengths in arrival
+//     order) and each chain must prefix the next. That is exactly the
+//     pairwise condition: a prefix is never longer than its extension,
+//     so if all pairs are comparable the length order is a total prefix
+//     order, and a failing adjacent pair is itself incomparable. Checked
+//     counts the r−1 adjacent pairs.
+//   - Ever Growing Tree and Eventual Prefix: the finitary readings
+//     below.
+//   - k-Fork Coherence (Definition 3.9): at most k successful appends
+//     consume the same oracle token. Blocks without a token (histories
+//     not produced through an oracle refinement) are grouped by parent,
+//     the object the token was for.
+//
+// Finitary reading of the liveness-flavoured properties. The paper's
+// Ever Growing Tree and Eventual Prefix quantify over infinite
+// suffixes; a monitor sees a finite prefix. The final window of reads
+// (the last max(2, procs) reads by invocation, overridable via Horizon)
+// stands in for "the suffix": a condition that still holds in that
+// window is presumed persistent.
+//
+//   - Ever Growing Tree ("the set of later reads with score ≤ s is
+//     finite"): read r with score s is violated iff the window,
+//     restricted to reads after r, contains a read with score ≤ s while
+//     its maximum score exceeds s — stagnation persists although the
+//     tree demonstrably grew past s. Windows whose maximum is not above
+//     s are the truncation frontier and exempt.
+//   - Eventual Prefix ("the set of read pairs whose maximal common
+//     prefix scores below s is finite"): read r with score s is
+//     violated iff two window reads after r structurally diverge below
+//     s, i.e. mcps(a, b) < min(s, score(a), score(b)). Bounding by both
+//     chains' own scores separates branch divergence from one chain
+//     simply being shorter: a shorter chain that prefixes the longer is
+//     stagnation (an Ever Growing Tree matter), not divergence. This
+//     makes Theorem 3.1 (every SC history is an EC history) hold
+//     structurally: under Strong Prefix every mcps equals
+//     min(score(a), score(b)). The window-pair MCPS is computed once at
+//     Finalize; only when some pair diverges below both its chains'
+//     scores are the per-read pairs enumerated.
+//
 // Violation Witnesses are emitted through OnWitness the moment they
-// form (live channel, advisory for the window properties), and
-// Finalize() reconstructs Verdicts equivalent to batch Classify: OK
-// flags, Violations and Witnesses (details, op identities, blocks) are
-// byte-identical. Report.Checked counts are reconstructed exactly for
-// histories whose completed operations are atomic (invocation and
-// response adjacent — every simulator run); they may differ from the
-// batch count on histories with overlapping completed operations, which
-// is documented as the one permitted divergence.
+// form (live channel, advisory for Strong Prefix; the window properties
+// only form at Finalize). Finalize builds the verdicts.
+//
+// Equivalence with the batch oracle. The tests keep a batch
+// implementation (one pass over the whole history) as a differential
+// oracle. On histories whose completed operations are atomic
+// (invocation and response adjacent — every simulator run) Finalize
+// matches it byte for byte: OK flags, Checked counts, Violations and
+// Witnesses (details, op identities, blocks). With overlapping
+// operations (concurrent live clients) only the per-property OK flags
+// are specified to match: equal-length reads are ordered by arrival
+// here and by invocation in the oracle, so the reported incomparable
+// Strong Prefix pair can differ, and the Eventual Prefix Checked count
+// assumes atomic operations.
 //
 // Boundedness: retained state is O(#blocks + #distinct chains + w +
 // (MaxViolations+procs)·#distinct scores + #successful appends) — all
@@ -41,7 +101,7 @@
 // non-violated earlier-invoked classmate must respond after the evicted
 // read responds, i.e. span it entirely; processes are sequential, so at
 // most one op per other process spans any instant). That leaves ≥
-// MaxViolations+1 violated reads strictly earlier in the batch checking
+// MaxViolations+1 violated reads strictly earlier in the reporting
 // order: the evicted read can never be among the MaxViolations reported
 // witnesses.
 package consistency
@@ -63,7 +123,7 @@ type MonitorConfig struct {
 	Score core.Score
 	P     core.Predicate
 	// Horizon overrides the liveness tail-window size; 0 means
-	// max(2, Procs) — the batch checker's default.
+	// max(2, Procs).
 	Horizon int
 	// K, when > 0, arms the live k-Fork Coherence probe: a witness is
 	// emitted the moment a token is consumed a (K+1)-th time. Token
@@ -81,9 +141,20 @@ type MonitorConfig struct {
 	// properties (EverGrowingTree, EventualPrefix) cannot exist — those
 	// violations are defined over the final window and only form at
 	// Finalize; live StrongPrefix witnesses are advisory incomparable
-	// pairs (the exact batch witness set comes from Finalize).
+	// pairs (the exact witness set comes from Finalize).
 	OnWitness func(Witness)
 }
+
+// chainKey identifies a read's returned chain: in a tree the chain is
+// determined by its head (and the length pins degenerate cases), so
+// per-chain work — scores, validity scans, prefix tests — is shared
+// between the many reads that return the same chain.
+type chainKey struct {
+	head core.BlockID
+	n    int
+}
+
+func keyOf(op *history.Op) chainKey { return chainKey{op.Head, op.ChainLen} }
 
 // opRec is the compact record of one operation the monitors retain:
 // everything needed to rebuild the op for a witness, nothing that
@@ -113,8 +184,8 @@ func recOf(op *history.Op) opRec {
 	}
 }
 
-// recSet retains the first cap records by invocation index (the batch
-// checking order) of one retention class.
+// recSet retains the first cap records by invocation index (the
+// reporting order) of one retention class.
 type recSet struct {
 	recs      []opRec
 	truncated bool
@@ -175,8 +246,8 @@ type spLen struct {
 // lmrPair is one recorded Local Monotonic Read violation.
 type lmrPair struct{ prev, cur opRec }
 
-// Monitor is the online counterpart of Checker: feed it a history as it
-// is recorded (it implements history.Sink), then Finalize for the batch
+// Monitor checks the §3 properties online: feed it a history as it is
+// recorded (it implements history.Sink), then Finalize for the
 // verdicts. Not safe for concurrent use; the Recorder serializes sink
 // calls under its own lock.
 type Monitor struct {
@@ -234,7 +305,7 @@ type Monitor struct {
 // NewMonitor builds an online monitor. Attach it to a Recorder with
 // SetSink (or feed it segments via ConsumeSegment) before the first
 // operation is recorded; processes must be marked faulty before their
-// first read for the exclusion semantics to match the batch checker.
+// first read for its reads to be excluded from the criteria.
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	if cfg.Score == nil {
 		cfg.Score = core.LengthScore{}
@@ -344,18 +415,20 @@ func (m *Monitor) consumeAppend(op *history.Op, pending bool) {
 	m.tokens[key] = append(m.tokens[key], rec)
 	if m.k > 0 && len(m.tokens[key]) == m.k+1 && m.liveKF < MaxViolations {
 		m.liveKF++
-		group := m.tokens[key]
-		blocks := make([]core.BlockID, len(group))
-		ops := make([]*history.Op, len(group))
-		for i, g := range group {
-			blocks[i] = g.block.ID
-			ops[i] = m.rebuild(g)
-		}
-		m.emit(Witness{
-			Property: fmt.Sprintf("%d-ForkCoherence", m.k),
-			Ops:      ops, Blocks: blocks,
-			Detail: fmt.Sprintf("token %q consumed by %d successful appends (k=%d): forks %s",
-				key, len(group), m.k, shortIDs(blocks)),
+		m.emit(func() Witness {
+			group := m.tokens[key]
+			blocks := make([]core.BlockID, len(group))
+			ops := make([]*history.Op, len(group))
+			for i, g := range group {
+				blocks[i] = g.block.ID
+				ops[i] = m.rebuild(g)
+			}
+			return Witness{
+				Property: fmt.Sprintf("%d-ForkCoherence", m.k),
+				Ops:      ops, Blocks: blocks,
+				Detail: fmt.Sprintf("token %q consumed by %d successful appends (k=%d): forks %s",
+					key, len(group), m.k, shortIDs(blocks)),
+			}
 		})
 	}
 }
@@ -365,7 +438,8 @@ func (m *Monitor) consumeRead(op *history.Op) {
 		return
 	}
 	rec := recOf(op)
-	rec.score = m.scoreOfOp(op)
+	var fact *bvFact
+	rec.score, fact = m.chainOf(op)
 	rec.ord = m.nreads
 	m.nreads++
 
@@ -379,13 +453,15 @@ func (m *Monitor) consumeRead(op *history.Op) {
 				}
 				if m.liveLMR < MaxViolations {
 					m.liveLMR++
-					prevOp := m.rebuild(prev)
-					m.emit(Witness{
-						Property: "LocalMonotonicRead",
-						Ops:      []*history.Op{prevOp, op},
-						Blocks:   []core.BlockID{prev.head, rec.head},
-						Detail: fmt.Sprintf("process %d: score dropped %d → %d (%s then %s)",
-							p, prev.score, rec.score, prevOp, op),
+					m.emit(func() Witness {
+						prevOp := m.rebuild(prev)
+						return Witness{
+							Property: "LocalMonotonicRead",
+							Ops:      []*history.Op{prevOp, op},
+							Blocks:   []core.BlockID{prev.head, rec.head},
+							Detail: fmt.Sprintf("process %d: score dropped %d → %d (%s then %s)",
+								p, prev.score, rec.score, prevOp, op),
+						}
 					})
 				}
 			}
@@ -395,7 +471,6 @@ func (m *Monitor) consumeRead(op *history.Op) {
 
 	// BlockValidity: shared per-chain fact, arrival-conclusive on the
 	// pass side; failures become suspects re-resolved at Finalize.
-	fact := m.factOfOp(op)
 	m.bvChecked += fact.nonGenesis
 	if !(fact.clean && fact.maxAppendInv < rec.rsp) {
 		set := m.bvSuspects[rec.key()]
@@ -406,11 +481,13 @@ func (m *Monitor) consumeRead(op *history.Op) {
 		set.insert(rec, m.cap)
 		if fact.hasInvalid && m.liveBV < MaxViolations {
 			m.liveBV++
-			m.emit(Witness{
-				Property: "BlockValidity",
-				Ops:      []*history.Op{op},
-				Blocks:   []core.BlockID{fact.firstInvalid},
-				Detail:   fmt.Sprintf("read %s returned block %s with P(b)=false", op, fact.firstInvalid.Short()),
+			m.emit(func() Witness {
+				return Witness{
+					Property: "BlockValidity",
+					Ops:      []*history.Op{op},
+					Blocks:   []core.BlockID{fact.firstInvalid},
+					Detail:   fmt.Sprintf("read %s returned block %s with P(b)=false", op, fact.firstInvalid.Short()),
+				}
 			})
 		}
 	}
@@ -470,7 +547,7 @@ func (m *Monitor) spConsume(rec opRec, op *history.Op) {
 
 	// Live incomparability probe against the longest chain read so far.
 	// Advisory: false negatives are possible after the anchor moves;
-	// the exact batch witness set comes from Finalize.
+	// the exact witness set comes from Finalize.
 	if !m.spHasMax {
 		m.spMax, m.spHasMax = rec, true
 		return
@@ -486,12 +563,14 @@ func (m *Monitor) spConsume(rec opRec, op *history.Op) {
 		m.spCmp[k] = true
 	} else if m.liveSP < MaxViolations {
 		m.liveSP++
-		maxOp := m.rebuild(m.spMax)
-		m.emit(Witness{
-			Property: "StrongPrefix",
-			Ops:      []*history.Op{maxOp, op},
-			Blocks:   []core.BlockID{m.spMax.head, rec.head},
-			Detail:   fmt.Sprintf("incomparable reads: %s vs %s", maxOp, op),
+		m.emit(func() Witness {
+			maxOp := m.rebuild(m.spMax)
+			return Witness{
+				Property: "StrongPrefix",
+				Ops:      []*history.Op{maxOp, op},
+				Blocks:   []core.BlockID{m.spMax.head, rec.head},
+				Detail:   fmt.Sprintf("incomparable reads: %s vs %s", maxOp, op),
+			}
 		})
 	}
 	if rec.chainLen > m.spMax.chainLen {
@@ -517,24 +596,26 @@ func (m *Monitor) comparable(a, b chainKey) bool {
 	return anc != nil && anc.ID == short.head
 }
 
-func (m *Monitor) scoreOfOp(op *history.Op) int {
+// chainOf returns the score and the Block Validity fact of op's chain.
+// Both are computed when the chain is first read, from one
+// materialization, and shared by every later read of the same chain.
+func (m *Monitor) chainOf(op *history.Op) (int, *bvFact) {
 	k := keyOf(op)
-	if s, ok := m.scoreByKey[k]; ok {
-		return s
+	s, scored := m.scoreByKey[k]
+	f := m.bvFacts[k]
+	if scored && f != nil {
+		return s, f
 	}
-	s := m.score.Of(op.ChainUncached())
-	m.scoreByKey[k] = s
-	return s
-}
-
-func (m *Monitor) factOfOp(op *history.Op) *bvFact {
-	k := keyOf(op)
-	if f, ok := m.bvFacts[k]; ok {
-		return f
+	c := op.ChainUncached()
+	if !scored {
+		s = m.score.Of(c)
+		m.scoreByKey[k] = s
 	}
-	f := m.scanFact(op.ChainUncached())
-	m.bvFacts[k] = f
-	return f
+	if f == nil {
+		f = m.scanFact(c)
+		m.bvFacts[k] = f
+	}
+	return s, f
 }
 
 func (m *Monitor) scanFact(c core.Chain) *bvFact {
@@ -563,10 +644,13 @@ func (m *Monitor) scanFact(c core.Chain) *bvFact {
 	return f
 }
 
-func (m *Monitor) emit(w Witness) {
+// emit counts one live witness and, when OnWitness is set, builds and
+// delivers it. Rendering a witness costs chain-length string work, so a
+// monitor nobody listens to — Classify's replay — only counts.
+func (m *Monitor) emit(build func() Witness) {
 	m.liveTotal++
 	if m.onWitns != nil {
-		m.onWitns(w)
+		m.onWitns(build())
 	}
 }
 
@@ -586,7 +670,7 @@ func (m *Monitor) rebuild(r opRec) *history.Op {
 }
 
 // mergedByInv flattens the given sets and sorts by invocation index —
-// the batch checking order.
+// the reporting order.
 func mergedByInv[K comparable](sets map[K]*recSet) []opRec {
 	var out []opRec
 	for _, s := range sets {
@@ -596,9 +680,9 @@ func mergedByInv[K comparable](sets map[K]*recSet) []opRec {
 	return out
 }
 
-// Finalize closes the stream and returns the SC and EC verdicts,
-// equivalent to batch Classify on the full history (see the package
-// comment for the exact equivalence contract). Idempotent.
+// Finalize closes the stream and returns the SC and EC verdicts; the
+// three properties common to both criteria are one shared report each.
+// Idempotent.
 func (m *Monitor) Finalize() (sc, ec *Verdict) {
 	if m.finalized {
 		return m.scV, m.ecV
@@ -734,7 +818,7 @@ func (m *Monitor) finalEGT() *Report {
 				"stagnation persists after %s: final-window read %s has score ≤ %d while the window grew to %d",
 				rOp, sOp, r.score, maxT)
 			if len(rep.Violations) == MaxViolations {
-				rep.Checked = r.ord + 1 // batch stops scanning here
+				rep.Checked = r.ord + 1 // scanning stops here
 				return rep
 			}
 		}
@@ -742,7 +826,7 @@ func (m *Monitor) finalEGT() *Report {
 	return rep
 }
 
-// epPairs returns the batch Checked contribution of the read at the
+// epPairs returns the Checked contribution of the read at the
 // given correct-read position, assuming atomic completed operations:
 // every pre-window read sees all w window reads after it; the window
 // member at position j sees the w−1−j later ones.
@@ -796,7 +880,7 @@ func (m *Monitor) finalEP() *Report {
 		return rep
 	}
 
-	// Divergence in the window: replay the batch enumeration over the
+	// Divergence in the window: enumerate the per-read pairs over the
 	// retained candidates (provably a superset of the reported reads).
 	for _, r := range mergedByInv(m.classes) {
 		var after []int
@@ -825,7 +909,7 @@ func (m *Monitor) finalEP() *Report {
 						"after %s (score %d) final-window reads still diverge: mcps(%s, %s)=%d < %d",
 						rOp, r.score, aOp, bOp, mm, bound)
 					if len(rep.Violations) == MaxViolations {
-						// Batch stops mid-enumeration: pairs before
+						// The enumeration stops here: pairs before
 						// this read, plus the pairs it examined.
 						checked := 0
 						for ord := 0; ord < r.ord; ord++ {
@@ -842,7 +926,7 @@ func (m *Monitor) finalEP() *Report {
 }
 
 // KForkReport builds the k-Fork Coherence report from the streamed
-// token groups — equivalent to the batch KForkCoherence for any k.
+// token groups, for any k.
 // Callable before or after Finalize.
 func (m *Monitor) KForkReport(k int) *Report {
 	rep := &Report{Property: fmt.Sprintf("%d-ForkCoherence", k), OK: true}

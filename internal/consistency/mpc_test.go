@@ -32,7 +32,7 @@ func TestMPCDetectsReorg(t *testing.T) {
 	rec.Read(0, b) // same score: LMR passes, MPC must fail
 	chk := NewChecker(nil, nil)
 	h := rec.Snapshot()
-	if rep := chk.LocalMonotonicRead(h); !rep.OK {
+	if rep := classified(chk, h, "LocalMonotonicRead"); !rep.OK {
 		t.Fatalf("LMR should tolerate the same-score switch: %v", rep.Violations)
 	}
 	if rep := chk.MonotonicPrefix(h); rep.OK {
@@ -82,7 +82,7 @@ func TestMPCImpliedByStrongPrefixPlusGrowth(t *testing.T) {
 	}
 	chk := NewChecker(nil, nil)
 	h := rec.Snapshot()
-	if !chk.StrongPrefix(h).OK || !chk.MonotonicPrefix(h).OK {
+	if !newBatchOracle(chk, h).strongPrefixPairwise().OK || !chk.MonotonicPrefix(h).OK {
 		t.Fatal("clean chain run rejected")
 	}
 }

@@ -104,7 +104,10 @@ func LRC(h *history.History) *Report {
 	rep := &Report{Property: "LRC", OK: true}
 
 	received := make(map[int]map[msgKey]bool)
+	// Messages received by some correct process, in first-receive
+	// order, so the Agreement report is deterministic.
 	anyRecv := make(map[msgKey]bool)
+	var recvOrder []msgKey
 	for _, e := range h.Comm {
 		if e.Kind != history.EvReceive {
 			continue
@@ -114,8 +117,9 @@ func LRC(h *history.History) *Report {
 			received[e.Proc] = make(map[msgKey]bool)
 		}
 		received[e.Proc][k] = true
-		if h.IsCorrect(e.Proc) {
+		if h.IsCorrect(e.Proc) && !anyRecv[k] {
 			anyRecv[k] = true
+			recvOrder = append(recvOrder, k)
 		}
 	}
 
@@ -133,7 +137,7 @@ func LRC(h *history.History) *Report {
 	}
 
 	// Agreement.
-	for k := range anyRecv {
+	for _, k := range recvOrder {
 		rep.Checked++
 		for p := 0; p < h.Procs; p++ {
 			if !h.IsCorrect(p) {

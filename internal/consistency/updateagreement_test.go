@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -155,5 +156,29 @@ func TestLRCIgnoresFaultySenders(t *testing.T) {
 	rep := LRC(rec.Snapshot())
 	if !rep.OK {
 		t.Fatalf("faulty sender counted: %v", rep.Violations)
+	}
+}
+
+// TestLRCAgreementDeterministic: with several Agreement violations the
+// report lists them in first-receive order, identically on every call.
+func TestLRCAgreementDeterministic(t *testing.T) {
+	rec := history.NewRecorder(3, nil)
+	parent := core.GenesisID
+	for i := 1; i <= 5; i++ {
+		b := core.NewBlock(parent, i, 0, i, []byte{byte(i)})
+		rec.RecordComm(history.EvSend, 0, parent, b.ID)
+		rec.RecordComm(history.EvReceive, 0, parent, b.ID)
+		rec.RecordComm(history.EvReceive, 1, parent, b.ID) // process 2 never receives
+		parent = b.ID
+	}
+	h := rec.Snapshot()
+	want := LRC(h)
+	if len(want.Violations) != 5 {
+		t.Fatalf("want 5 Agreement violations, got %v", want.Violations)
+	}
+	for i := 0; i < 50; i++ {
+		if got := LRC(h); fmt.Sprint(got.Violations) != fmt.Sprint(want.Violations) {
+			t.Fatalf("call %d reported %v, first call %v", i, got.Violations, want.Violations)
+		}
 	}
 }

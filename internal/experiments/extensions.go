@@ -173,8 +173,8 @@ func ExtensionByzantineFlood(seed uint64) *Result {
 
 	h := g.History()
 	chk := consistency.NewChecker(core.LengthScore{}, core.WellFormed{})
-	bv := chk.BlockValidity(h)
 	sc, ec := chk.Classify(h)
+	bv := sc.Report("BlockValidity")
 	res.addf("%s ; %s ; %s", bv, sc, ec)
 	if !bv.OK || !ec.OK {
 		res.OK = false

@@ -171,11 +171,11 @@ func Figure4(seed uint64) *Result {
 		res.OK = false
 		res.notef("Figure 4 history must violate both SC and EC")
 	}
-	if egt := chk.EverGrowingTree(h); !egt.OK {
+	if egt := ec.Report("EverGrowingTree"); !egt.OK {
 		res.OK = false
 		res.notef("Ever Growing Tree should hold in Figure 4 (both branches keep growing)")
 	}
-	ep := chk.EventualPrefix(h)
+	ep := ec.Report("EventualPrefix")
 	if ep.OK {
 		res.OK = false
 		res.notef("Eventual Prefix must be the violated property")

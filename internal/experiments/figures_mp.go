@@ -78,7 +78,7 @@ func TheoremLRC(seed uint64) *Result {
 		return res
 	}
 	chkClean := consistency.NewChecker(clean.Score, core.WellFormed{})
-	ecClean := chkClean.EventualConsistency(clean.History)
+	_, ecClean := chkClean.Classify(clean.History)
 	uaClean := clean.UpdateAgreement()
 	res.addf("lossless run: %s ; %s", ecClean, uaClean)
 
@@ -89,7 +89,7 @@ func TheoremLRC(seed uint64) *Result {
 		return res
 	}
 	chk := consistency.NewChecker(broken.Score, core.WellFormed{})
-	ec := chk.EventualConsistency(broken.History)
+	_, ec := chk.Classify(broken.History)
 	ua := broken.UpdateAgreement()
 	lrc := consistency.LRC(broken.History)
 	res.addf("one message to p2 dropped: %s ; %s ; %s", ec, ua, lrc)
@@ -147,7 +147,8 @@ func Theorem48(seed uint64) *Result {
 
 	h := group.History()
 	chk := consistency.NewChecker(core.LengthScore{}, nil)
-	sp := chk.StrongPrefix(h)
+	sc, _ := chk.Classify(h)
+	sp := sc.Report("StrongPrefix")
 	lrc := consistency.LRC(h)
 	res.addf("reads at t < t0+δ: p0=%s, p1=%s", h.Reads()[0].Chain(), h.Reads()[1].Chain())
 	res.addf("%s", sp)

@@ -347,6 +347,11 @@ type History struct {
 	// Consistency criteria quantify over correct processes only
 	// (Definition 4.2). A nil slice means all processes are correct.
 	Correct []bool
+	// Table is the recorder's chain table, from which interned reads
+	// materialize (nil for histories recorded with explicit chains
+	// only). Checkers that keep compact records instead of the ops —
+	// the consistency Monitor — rebuild witness chains from it.
+	Table *ChainTable
 
 	memoOnce sync.Once
 	memo     struct {
@@ -452,7 +457,7 @@ func (h *History) CommOf(kind CommKind) []CommEvent {
 // Purged returns a copy of the history without unsuccessful append
 // operations (the Ĥ of Section 3.4).
 func (h *History) Purged() *History {
-	nh := &History{Procs: h.Procs, Correct: h.Correct, Comm: h.Comm}
+	nh := &History{Procs: h.Procs, Correct: h.Correct, Comm: h.Comm, Table: h.Table}
 	for _, op := range h.Ops {
 		if op.Kind == OpAppend && !op.Pending && !op.OK {
 			continue
@@ -689,7 +694,7 @@ func (r *Recorder) RecordComm(kind CommKind, p int, parent, block core.BlockID) 
 func (r *Recorder) Snapshot() *History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := &History{Procs: r.procs}
+	h := &History{Procs: r.procs, Table: r.table}
 	if r.drop {
 		h.Ops = r.pendingLocked()
 	} else {

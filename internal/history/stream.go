@@ -17,9 +17,10 @@ import "sort"
 //     response event is recorded (so the op is complete and immutable).
 //   - CommDone delivers each send/receive/update event as it is recorded.
 //   - Faulty delivers MarkFaulty declarations; for the monitors' exclusion
-//     semantics to match the batch checkers, a process must be marked
-//     before its first read is recorded (adversary wiring marks at
-//     construction time, so protocol runs satisfy this by design).
+//     semantics to match Classify, which marks faulty processes before
+//     replaying the snapshot, a process must be marked before its first
+//     read is recorded (adversary wiring marks at construction time, so
+//     protocol runs satisfy this by design).
 //
 // Sink implementations must not call back into the Recorder.
 type Sink interface {

@@ -72,7 +72,8 @@ func TestUpdateAgreementHolds(t *testing.T) {
 func TestBlockValidityUnderLedgerPredicate(t *testing.T) {
 	res := Run(defaultCfg(5))
 	chk := consistency.NewChecker(res.Score, core.LedgerPredicate{})
-	if rep := chk.BlockValidity(res.History); !rep.OK {
+	sc, _ := chk.Classify(res.History)
+	if rep := sc.Report("BlockValidity"); !rep.OK {
 		t.Fatalf("ledger-valid blocks rejected: %v", rep.Violations)
 	}
 }

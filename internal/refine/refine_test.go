@@ -62,7 +62,8 @@ func TestAppendRecordsHistory(t *testing.T) {
 	}
 	// Block Validity must hold on the recorded history.
 	chk := consistency.NewChecker(nil, core.WellFormed{})
-	if rep := chk.BlockValidity(h); !rep.OK {
+	sc, _ := chk.Classify(h)
+	if rep := sc.Report("BlockValidity"); !rep.OK {
 		t.Fatalf("block validity: %v", rep.Violations)
 	}
 }
