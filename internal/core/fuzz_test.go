@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -63,29 +64,39 @@ func FuzzChainPrefix(f *testing.F) {
 	})
 }
 
-// checkTreeIndices asserts every incremental index of the tree — leaf
-// set, cached max height, per-block chain weight, per-block subtree
-// weight — equals a from-scratch recomputation over the blocks/children
-// maps. It is the shared invariant check for the attach fuzzers.
-func checkTreeIndices(t *testing.T, tr *Tree) {
+// checkSelectionIndices asserts the indices selection runs off — the
+// maintained longest and heaviest heads, the cached maximum fork degree
+// and the leaf set — equal a from-scratch scan through the public
+// accessors. It is cheap enough to run after every attach.
+func checkSelectionIndices(t *testing.T, tr *Tree) {
 	t.Helper()
-	// Leaf set == scan of all blocks with no children.
-	wantLeaves := scanLeaves(tr)
-	gotLeaves := tr.Leaves()
-	if len(gotLeaves) != len(wantLeaves) {
-		t.Fatalf("leaf index has %d leaves, scan finds %d", len(gotLeaves), len(wantLeaves))
+	if got, want := (LongestChain{}).SelectHead(tr), legacySelectLongest(tr).Head(); got.ID != want.ID {
+		t.Fatalf("longest head %s, scan %s", got.ID.Short(), want.ID.Short())
 	}
-	for i := range wantLeaves {
-		if gotLeaves[i] != wantLeaves[i] {
-			t.Fatalf("leaf index %v != scan %v", gotLeaves, wantLeaves)
-		}
+	if got, want := (HeaviestChain{}).SelectHead(tr), legacySelectHeaviest(tr).Head(); got.ID != want.ID {
+		t.Fatalf("heaviest head %s, scan %s", got.ID.Short(), want.ID.Short())
+	}
+	if got, want := tr.MaxForkDegree(), scanMaxFork(tr); got != want {
+		t.Fatalf("MaxForkDegree %d, scan %d", got, want)
+	}
+	wantLeaves := scanLeaves(tr)
+	if got := tr.Leaves(); !slices.Equal(got, wantLeaves) {
+		t.Fatalf("leaf index %v != scan %v", got, wantLeaves)
 	}
 	if tr.LeafCount() != len(wantLeaves) {
 		t.Fatalf("LeafCount %d, scan finds %d", tr.LeafCount(), len(wantLeaves))
 	}
-	// Cached height == scan.
+}
+
+// checkTreeIndices asserts every incremental index of the tree — the
+// selection indices above, the height, per-block chain weight,
+// per-block subtree weight — equals a from-scratch recomputation. It is
+// the shared invariant check for the attach fuzzers.
+func checkTreeIndices(t *testing.T, tr *Tree) {
+	t.Helper()
+	checkSelectionIndices(t, tr)
 	if got, want := tr.Height(), scanHeight(tr); got != want {
-		t.Fatalf("cached height %d, scan %d", got, want)
+		t.Fatalf("Height() %d, scan %d", got, want)
 	}
 	// chainWeight[b] == WeightScore of the materialized chain;
 	// subtreeWeight[b] == recomputed weight sum over the subtree.
@@ -105,6 +116,35 @@ func checkTreeIndices(t *testing.T, tr *Tree) {
 		if got, want := tr.SubtreeWeight(b.ID), subtree(b.ID); got != want {
 			t.Fatalf("subtreeWeight[%s] = %d, recompute %d", b.ID.Short(), got, want)
 		}
+	}
+}
+
+// checkMatchesLegacy asserts the dense tree and the map-based oracle
+// hold the same blocks, children, chain and subtree weights, leaves and
+// height.
+func checkMatchesLegacy(t *testing.T, tr *Tree, lt *legacyTree) {
+	t.Helper()
+	got, want := tr.Blocks(), lt.Blocks()
+	sameID := func(a, b *Block) bool { return a.ID == b.ID }
+	if !slices.EqualFunc(got, want, sameID) {
+		t.Fatalf("Blocks() %v, oracle %v", got, want)
+	}
+	for _, b := range want {
+		if g, w := tr.Children(b.ID), lt.Children(b.ID); !slices.Equal(g, w) {
+			t.Fatalf("Children(%s) %v, oracle %v", b.ID.Short(), g, w)
+		}
+		if g, w := tr.ChainWeight(b.ID), lt.ChainWeight(b.ID); g != w {
+			t.Fatalf("ChainWeight(%s) %d, oracle %d", b.ID.Short(), g, w)
+		}
+		if g, w := tr.SubtreeWeight(b.ID), lt.SubtreeWeight(b.ID); g != w {
+			t.Fatalf("SubtreeWeight(%s) %d, oracle %d", b.ID.Short(), g, w)
+		}
+	}
+	if g, w := tr.Leaves(), lt.Leaves(); !slices.Equal(g, w) {
+		t.Fatalf("Leaves() %v, oracle %v", g, w)
+	}
+	if tr.Height() != lt.maxHeight {
+		t.Fatalf("Height() %d, oracle %d", tr.Height(), lt.maxHeight)
 	}
 }
 
@@ -152,15 +192,26 @@ func FuzzTreeAttach(f *testing.F) {
 // block attached again must be idempotent), conflicting re-weighted
 // twins (same ID, different weight — must be rejected without touching
 // any cache), and out-of-order delivery (a child offered before its
-// parent must be rejected, then accepted once the parent lands). After
-// the schedule, every cache must equal a recompute from scratch, both on
-// the tree and on a clone.
+// parent must be rejected, then accepted once the parent lands). Every
+// attach is replayed into the map-based oracle tree, which must accept
+// and reject the same blocks. After every step the selection indices
+// must equal a scan, on the tree and on a clone, for schedules of up to
+// 256 steps; after the schedule (and after every step of a schedule of
+// up to 32) every cache must equal a recompute from scratch and the
+// oracle's view. Schedules of any length run in full.
 func FuzzTreeIndices(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{9, 9, 9, 9})
 	f.Add([]byte{0, 20, 0, 20, 41, 62})
 	f.Fuzz(func(t *testing.T, schedule []byte) {
-		tr := NewTree()
+		tr, lt := NewTree(), newLegacyTree()
+		attach := func(b *Block) error {
+			err := tr.Attach(b)
+			if lerr := lt.Attach(b); (err == nil) != (lerr == nil) {
+				t.Fatalf("attach %s: tree says %v, oracle says %v", b.ID.Short(), err, lerr)
+			}
+			return err
+		}
 		attached := []*Block{Genesis()}
 		for i, op := range schedule {
 			switch op % 5 {
@@ -168,14 +219,14 @@ func FuzzTreeIndices(f *testing.F) {
 				parent := attached[int(op/5)%len(attached)]
 				b := NewBlock(parent.ID, parent.Height+1, int(op)%3, i, []byte{op, byte(i)}).
 					WithWeight(int(op)%4 + 1)
-				if err := tr.Attach(b); err != nil {
+				if err := attach(b); err != nil {
 					t.Fatalf("valid attach rejected: %v", err)
 				}
 				attached = append(attached, b)
 			case 2: // duplicate delivery: idempotent, caches untouched
 				dup := attached[int(op/5)%len(attached)]
 				before := tr.Len()
-				if err := tr.Attach(dup); err != nil {
+				if err := attach(dup); err != nil {
 					t.Fatalf("duplicate attach rejected: %v", err)
 				}
 				if tr.Len() != before {
@@ -187,32 +238,39 @@ func FuzzTreeIndices(f *testing.F) {
 					continue // genesis attach is always a no-op
 				}
 				twin := orig.WithWeight(orig.Weight + 1)
-				if err := tr.Attach(twin); err == nil {
+				if err := attach(twin); err == nil {
 					t.Fatal("conflicting re-weighted twin accepted")
 				}
 			case 4: // out-of-order delivery: child before parent
 				parent := attached[int(op/5)%len(attached)]
 				future := NewBlock(parent.ID, parent.Height+1, 7, 1000+i, []byte{op})
 				child := NewBlock(future.ID, future.Height+1, 7, 2000+i, []byte{op})
-				if err := tr.Attach(child); err == nil {
+				if err := attach(child); err == nil {
 					t.Fatal("orphan child accepted before its parent")
 				}
-				if err := tr.Attach(future); err != nil {
+				if err := attach(future); err != nil {
 					t.Fatalf("parent attach rejected: %v", err)
 				}
-				if err := tr.Attach(child); err != nil {
+				if err := attach(child); err != nil {
 					t.Fatalf("child attach rejected after parent arrived: %v", err)
 				}
 				attached = append(attached, future, child)
 			}
-			// Per-step recompute is quadratic; keep it for short
-			// schedules and fall back to end-of-run checks on long
-			// fuzz-generated ones.
+			// The per-step scans are quadratic over the schedule; keep
+			// them per step for short and medium schedules and fall back
+			// to end-of-run checks on long fuzz-generated ones.
+			if len(schedule) <= 256 {
+				checkSelectionIndices(t, tr)
+				checkSelectionIndices(t, tr.Clone())
+			}
 			if len(schedule) <= 32 {
 				checkTreeIndices(t, tr)
+				checkMatchesLegacy(t, tr, lt)
 			}
 		}
 		checkTreeIndices(t, tr)
 		checkTreeIndices(t, tr.Clone())
+		checkMatchesLegacy(t, tr, lt)
+		checkMatchesLegacy(t, tr.Clone(), lt)
 	})
 }

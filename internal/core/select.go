@@ -13,11 +13,13 @@ package core
 // All selectors are deterministic: given equal trees they return equal
 // chains, as required for f to be a function.
 //
-// Every selector here runs off the Tree's incremental indices: picking
-// the winning leaf costs O(#leaves) (or O(path) for GHOST's descent)
-// and only the winning chain is materialized, O(height). The original
-// full-rescan implementations are kept unexported in select_legacy_test.go
-// and pinned equivalent by differential tests.
+// Every selector here runs off the Tree's incremental indices: the
+// longest and heaviest heads are maintained by Tree.Attach, so picking
+// the winning leaf costs O(1) for LongestChain, HeaviestChain and
+// SingleChain (O(path × fan-out) for GHOST's descent), and only the
+// winning chain is materialized, O(height). The selectors are stateless
+// values. The original full-rescan implementations are kept unexported
+// in select_legacy_test.go and pinned equivalent by differential tests.
 type Selector interface {
 	// Select returns the selected blockchain including the genesis
 	// block ({b0}⌢f(bt) in the paper's notation; per the paper's
@@ -31,8 +33,9 @@ type Selector interface {
 // block of the chain Select would return, without materializing it.
 // Append paths (replica mining, refined append, BT-ADT append) only need
 // the head to chain a new block under, so this turns every append-side
-// selection from O(height) into O(#leaves) flat. All built-in selectors
-// implement it; HeadOf falls back to Select(t).Head() for foreign ones.
+// selection from O(height) into O(1) for the maintained heads. All
+// built-in selectors implement it; HeadOf falls back to
+// Select(t).Head() for foreign ones.
 type HeadSelector interface {
 	SelectHead(*Tree) *Block
 }
@@ -56,32 +59,12 @@ func HeadOf(f Selector, t *Tree) *Block {
 // on the lexicographical order").
 type LongestChain struct{}
 
-// SelectHead returns the highest leaf (lexicographic tiebreak) in
-// O(#leaves) using the maintained leaf set.
-func (LongestChain) SelectHead(t *Tree) *Block {
-	var best BlockID
-	bestH := -1
-	for leaf := range t.leaves {
-		h := t.blocks[leaf].Height
-		if h > bestH || (h == bestH && leaf > best) {
-			best, bestH = leaf, h
-		}
-	}
-	if bestH < 0 {
-		return t.Root()
-	}
-	return t.blocks[best]
-}
+// SelectHead returns the highest leaf (lexicographic tiebreak), which
+// the tree maintains on every Attach: O(1).
+func (LongestChain) SelectHead(t *Tree) *Block { return t.head(t.longest) }
 
-// Select walks the leaf set and returns the longest chain, materializing
-// only the winner.
-func (f LongestChain) Select(t *Tree) Chain {
-	head := f.SelectHead(t)
-	if head == nil {
-		return GenesisChain()
-	}
-	return t.ChainTo(head.ID)
-}
+// Select returns the longest chain, materializing only the winner.
+func (f LongestChain) Select(t *Tree) Chain { return chainOf(t, f.SelectHead(t)) }
 
 // Name returns "longest".
 func (LongestChain) Name() string { return "longest" }
@@ -91,35 +74,14 @@ func (LongestChain) Name() string { return "longest" }
 // coincides with LongestChain.
 type HeaviestChain struct{}
 
-// SelectHead returns the leaf with the largest cumulative chain weight in
-// O(#leaves), reading the maintained chainWeight index instead of
-// re-walking and re-summing each root-to-leaf path.
-func (HeaviestChain) SelectHead(t *Tree) *Block {
-	var best BlockID
-	bestW := -1
-	found := false
-	for leaf := range t.leaves {
-		w := t.chainWeight[leaf]
-		if w > bestW || (w == bestW && leaf > best) {
-			best, bestW = leaf, w
-			found = true
-		}
-	}
-	if !found {
-		return t.Root()
-	}
-	return t.blocks[best]
-}
+// SelectHead returns the leaf with the largest cumulative chain weight
+// (lexicographic tiebreak), which the tree maintains on every Attach:
+// O(1).
+func (HeaviestChain) SelectHead(t *Tree) *Block { return t.head(t.heaviest) }
 
 // Select returns the heaviest root-to-leaf path, materializing only the
 // winner.
-func (f HeaviestChain) Select(t *Tree) Chain {
-	head := f.SelectHead(t)
-	if head == nil {
-		return GenesisChain()
-	}
-	return t.ChainTo(head.ID)
-}
+func (f HeaviestChain) Select(t *Tree) Chain { return chainOf(t, f.SelectHead(t)) }
 
 // Name returns "heaviest".
 func (HeaviestChain) Name() string { return "heaviest" }
@@ -132,48 +94,27 @@ type GHOST struct{}
 
 // SelectHead performs the greedy descent and returns only the final leaf.
 func (GHOST) SelectHead(t *Tree) *Block {
-	cur := t.Root()
-	if cur == nil {
+	if len(t.blocks) == 0 {
 		return nil // degenerate zero-value tree; HeadOf falls back
 	}
-	for {
-		ch := t.Children(cur.ID)
-		if len(ch) == 0 {
-			return cur
-		}
-		best := ch[0]
-		bestW := t.SubtreeWeight(best)
-		for _, c := range ch[1:] {
-			w := t.SubtreeWeight(c)
-			if w > bestW || (w == bestW && c > best) {
-				best, bestW = c, w
+	sw := t.subtreeWeights()
+	cur := int32(0)
+	for c := t.firstChild[cur]; c >= 0; c = t.firstChild[cur] {
+		// Siblings run in ascending ID order, so >= keeps the
+		// largest ID among the heaviest subtrees.
+		best := c
+		for ; c >= 0; c = t.nextSibling[c] {
+			if sw[c] >= sw[best] {
+				best = c
 			}
 		}
-		cur = t.Block(best)
-	}
-}
-
-// Select performs the greedy heaviest-subtree descent.
-func (GHOST) Select(t *Tree) Chain {
-	cur := t.Root().ID
-	chain := Chain{t.Root()}
-	for {
-		ch := t.Children(cur)
-		if len(ch) == 0 {
-			return chain
-		}
-		best := ch[0]
-		bestW := t.SubtreeWeight(best)
-		for _, c := range ch[1:] {
-			w := t.SubtreeWeight(c)
-			if w > bestW || (w == bestW && c > best) {
-				best, bestW = c, w
-			}
-		}
-		chain = append(chain, t.Block(best))
 		cur = best
 	}
+	return t.blocks[cur]
 }
+
+// Select returns the path of the greedy heaviest-subtree descent.
+func (f GHOST) Select(t *Tree) Chain { return chainOf(t, f.SelectHead(t)) }
 
 // Name returns "ghost".
 func (GHOST) Name() string { return "ghost" }
@@ -185,28 +126,23 @@ func (GHOST) Name() string { return "ghost" }
 // consistency checkers can observe and report the anomaly.
 type SingleChain struct{}
 
-// SelectHead returns the head of the unique chain (or the longest-chain
-// head if the tree forks).
-func (SingleChain) SelectHead(t *Tree) *Block {
-	if t.MaxForkDegree() <= 1 {
-		for leaf := range t.leaves {
-			return t.blocks[leaf] // fork-free: exactly one leaf
-		}
-		// Degenerate (zero-value) tree with no leaf set: fall through
-		// to the genesis chain instead of indexing into nothing.
-		return t.Root()
-	}
-	return LongestChain{}.SelectHead(t)
-}
+// SelectHead returns the head of the unique chain: a fork-free tree has
+// exactly one leaf, which is also the longest head, so this is
+// LongestChain's maintained head — O(1), and the longest-chain fallback
+// when the tree forks.
+func (SingleChain) SelectHead(t *Tree) *Block { return LongestChain{}.SelectHead(t) }
 
 // Select returns the unique chain of a fork-free tree.
-func (f SingleChain) Select(t *Tree) Chain {
-	head := f.SelectHead(t)
+func (f SingleChain) Select(t *Tree) Chain { return chainOf(t, f.SelectHead(t)) }
+
+// Name returns "single".
+func (SingleChain) Name() string { return "single" }
+
+// chainOf materializes the chain ending at head, or the genesis chain
+// when a degenerate tree yields no head.
+func chainOf(t *Tree, head *Block) Chain {
 	if head == nil {
 		return GenesisChain()
 	}
 	return t.ChainTo(head.ID)
 }
-
-// Name returns "single".
-func (SingleChain) Name() string { return "single" }

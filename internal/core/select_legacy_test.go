@@ -3,19 +3,22 @@ package core
 import "sort"
 
 // This file preserves the original full-rescan selector implementations
-// exactly as they were before the incremental indices landed. They are
-// unexported and exist only as differential-test oracles
-// (select_diff_test.go): randomized trees assert that the indexed
-// selectors in select.go return byte-identical chains. Do not "optimize"
-// these — their value is being the slow, obviously-correct spec.
+// exactly as they were before the incremental indices landed, reading
+// the tree only through its public accessors (Blocks, Children, Block,
+// ChainTo). They are unexported and exist only as differential-test
+// oracles (select_diff_test.go, fuzz_test.go): randomized trees assert
+// that the maintained heads and the indexed selectors in select.go
+// return byte-identical chains. Do not "optimize" these — their value
+// is being the slow, obviously-correct spec.
 
-// scanLeaves recomputes the leaf set by scanning every block, the way
-// Tree.Leaves worked before the maintained leaf set.
+// scanLeaves recomputes the leaf set by scanning every block through
+// the public accessors, the way Tree.Leaves worked before the
+// maintained leaf set.
 func scanLeaves(t *Tree) []BlockID {
 	var out []BlockID
-	for id := range t.blocks {
-		if len(t.children[id]) == 0 {
-			out = append(out, id)
+	for _, b := range t.Blocks() {
+		if len(t.Children(b.ID)) == 0 {
+			out = append(out, b.ID)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -26,12 +29,23 @@ func scanLeaves(t *Tree) []BlockID {
 // way Tree.Height worked before the cached maxHeight.
 func scanHeight(t *Tree) int {
 	h := 0
-	for _, b := range t.blocks {
+	for _, b := range t.Blocks() {
 		if b.Height > h {
 			h = b.Height
 		}
 	}
 	return h
+}
+
+// scanMaxFork recomputes the maximum fork degree by counting every
+// block's children, the way Tree.MaxForkDegree worked before the cached
+// maxFork.
+func scanMaxFork(t *Tree) int {
+	m := 0
+	for _, b := range t.Blocks() {
+		m = max(m, len(t.Children(b.ID)))
+	}
+	return m
 }
 
 // legacySelectLongest is the original LongestChain.Select: rescan all
@@ -73,7 +87,7 @@ func legacySelectHeaviest(t *Tree) Chain {
 // unguarded leaves[0] panic on degenerate trees, fixed in the indexed
 // version; with a genesis block present the two never diverge).
 func legacySelectSingle(t *Tree) Chain {
-	if t.MaxForkDegree() <= 1 {
+	if scanMaxFork(t) <= 1 {
 		leaves := scanLeaves(t)
 		if len(leaves) == 0 {
 			return GenesisChain()

@@ -61,6 +61,26 @@ func TestAttachErrors(t *testing.T) {
 	}
 }
 
+// TestAttachRejectsWeightBelowOne pins Block.Weight's >= 1 contract at
+// the tree: a weight-0 or negative block would let a child tie or lose
+// to its parent on chain weight, which the maintained heaviest head
+// rules out.
+func TestAttachRejectsWeightBelowOne(t *testing.T) {
+	tr := NewTree()
+	for _, w := range []int{0, -1} {
+		b := child(Genesis(), 0, 1).WithWeight(w)
+		if err := tr.Attach(b); err == nil {
+			t.Errorf("weight-%d block accepted", w)
+		}
+	}
+	if tr.Len() != 1 || tr.LeafCount() != 1 || tr.ChainWeight(GenesisID) != 0 {
+		t.Fatalf("rejected blocks changed the tree: %v", tr)
+	}
+	if err := tr.Attach(child(Genesis(), 0, 1)); err != nil {
+		t.Fatalf("weight-1 block rejected: %v", err)
+	}
+}
+
 func TestAttachIdempotentAndConflict(t *testing.T) {
 	g := Genesis()
 	b1 := child(g, 0, 1)

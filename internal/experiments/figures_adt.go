@@ -26,7 +26,7 @@ func Figure1(seed uint64) *Result {
 
 	b1 := core.NewBlock(core.GenesisID, 1, 1, 1, []byte{1})
 	b3 := core.NewBlock(core.GenesisID, 1, 3, 3, []byte{0xFF})
-	b2 := &core.Block{ID: "b2-any", Payload: []byte{2}} // re-chained by append
+	b2 := &core.Block{ID: "b2-any", Weight: 1, Payload: []byte{2}} // re-chained by append
 
 	word := []adt.Input{
 		adt.AppendInput{B: b1},

@@ -688,9 +688,13 @@ func (r *Recorder) RecordComm(kind CommKind, p int, parent, block core.BlockID) 
 
 // Snapshot returns the history recorded so far. The returned History
 // shares Op pointers with the recorder; callers must stop recording
-// before checking criteria (the checkers are read-only). In drop mode
-// (SetRetain(false)) completed ops belong to the sink alone, so the
-// snapshot contains only the still-pending operations.
+// before checking criteria (the checkers are read-only). Its Comm
+// slice shares the recorder's backing array without copying: comm
+// events are append-only and never rewritten, and the snapshot's
+// capacity is clipped to its length, so later recording (and any
+// append to h.Comm) never writes into the snapshot's view. In drop
+// mode (SetRetain(false)) completed ops belong to the sink alone, so
+// the snapshot contains only the still-pending operations.
 func (r *Recorder) Snapshot() *History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -701,8 +705,7 @@ func (r *Recorder) Snapshot() *History {
 		h.Ops = make([]*Op, len(r.ops))
 		copy(h.Ops, r.ops)
 	}
-	h.Comm = make([]CommEvent, len(r.comm))
-	copy(h.Comm, r.comm)
+	h.Comm = r.comm[:len(r.comm):len(r.comm)]
 	if len(r.faulty) > 0 {
 		h.Correct = make([]bool, r.procs)
 		for i := range h.Correct {

@@ -1,6 +1,8 @@
 package history
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -132,6 +134,43 @@ func TestCommEvents(t *testing.T) {
 	}
 	if h.Comm[0].Time != 42 {
 		t.Fatal("clock not consulted")
+	}
+}
+
+// TestSnapshotCommSurvivesLaterRecording pins the zero-copy Comm
+// snapshot: an append to the snapshot's Comm and recording that
+// continues after Snapshot (here concurrently, so -race sees any
+// overlap) never write into each other's events.
+func TestSnapshotCommSurvivesLaterRecording(t *testing.T) {
+	rec := NewRecorder(2, nil)
+	for i := 0; i < 100; i++ {
+		rec.RecordComm(EvUpdate, i%2, core.GenesisID, core.BlockID(fmt.Sprint("b", i)))
+	}
+	h := rec.Snapshot()
+	want := slices.Clone(h.Comm)
+	grown := append(h.Comm, CommEvent{Kind: EvReceive, Block: "extra"})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 100; i < 1100; i++ {
+			rec.RecordComm(EvSend, i%2, core.GenesisID, core.BlockID(fmt.Sprint("b", i)))
+		}
+	}()
+	for round := 0; round < 10; round++ {
+		if !slices.Equal(h.Comm, want) {
+			t.Fatal("snapshot changed while recording continued")
+		}
+	}
+	<-done
+	if !slices.Equal(h.Comm, want) {
+		t.Fatal("snapshot changed by later recording")
+	}
+	if grown[len(want)].Block != "extra" {
+		t.Fatal("later recording overwrote an append to the snapshot's Comm")
+	}
+	later := rec.Snapshot()
+	if len(later.Comm) != 1100 || !slices.Equal(later.Comm[:100], want) || later.Comm[100].Kind != EvSend {
+		t.Fatalf("recorder comm disturbed: %d events", len(later.Comm))
 	}
 }
 

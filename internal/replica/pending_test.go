@@ -119,3 +119,28 @@ func TestFlushPreservesDepthFirstOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRedeliveredGenesisIsNoop pins the dedupe-on-tree edge: the genesis
+// block is always in the tree, so a flooded or re-applied genesis is a
+// duplicate — no receive event, no update event and no orphan-buffer
+// entry under the empty parent ID.
+func TestRedeliveredGenesisIsNoop(t *testing.T) {
+	sim := simnet.NewSim(5)
+	g := NewGroup(sim, 2, simnet.Synchronous{Delta: 1}, core.LongestChain{})
+	p := g.Procs[1]
+
+	gen := core.Genesis()
+	p.onMessage(simnet.Message{From: 0, To: 1, Payload: UpdateMsg{Block: gen}})
+	if p.applyUpdate(gen, false) {
+		t.Fatal("genesis re-applied as a new block")
+	}
+	if got := p.PendingCount(); got != 0 {
+		t.Fatalf("genesis buffered as an orphan: %d pending", got)
+	}
+	if p.Tree().Len() != 1 {
+		t.Fatalf("tree has %d blocks, want 1", p.Tree().Len())
+	}
+	if comm := g.Rec.Snapshot().Comm; len(comm) != 0 {
+		t.Fatalf("re-delivered genesis recorded %d events: %v", len(comm), comm)
+	}
+}

@@ -81,10 +81,9 @@ type Process struct {
 	// (out-of-order delivery); keyed by the missing parent.
 	pending map[core.BlockID][]*core.Block
 	// pendingHas marks the buffered block IDs, so flood re-deliveries
-	// of an orphan cannot inflate the buffer with duplicates.
+	// of an orphan cannot inflate the buffer with duplicates. Attached
+	// blocks are deduplicated by the tree itself (tree.Has).
 	pendingHas map[core.BlockID]bool
-	// seen deduplicates update messages (flooding re-delivers).
-	seen map[core.BlockID]bool
 
 	// OnCommit, if set, runs after a block is attached locally
 	// (protocol layers hook their bookkeeping here).
@@ -130,10 +129,9 @@ func NewProcess(id int, nw Net, f core.Selector, rec *history.Recorder, reg *Reg
 		tree:       core.NewTree(),
 		pending:    make(map[core.BlockID][]*core.Block),
 		pendingHas: make(map[core.BlockID]bool),
-		seen:       make(map[core.BlockID]bool),
 	}
 	// The replica handler upholds the shard-safety contract: onMessage
-	// touches only this process's state (tree, seen/pending maps),
+	// touches only this process's state (tree, pending maps),
 	// records and sends only as itself, and never schedules — so a
 	// sharded scheduler may run replicas of different shards
 	// concurrently (simnet.AddShardSafeHandler).
@@ -255,7 +253,7 @@ func (p *Process) applyUpdate(b *core.Block, local bool) bool {
 // event. It reports whether the block was newly attached; blocks whose
 // parent is missing are buffered (deduplicated) for the flush above.
 func (p *Process) applyOne(b *core.Block) bool {
-	if p.seen[b.ID] {
+	if p.tree.Has(b.ID) {
 		return false
 	}
 	// Token stamps are oracle metadata, not block content: strip
@@ -287,7 +285,6 @@ func (p *Process) applyOne(b *core.Block) bool {
 	if err := p.tree.Attach(b); err != nil {
 		return false
 	}
-	p.seen[b.ID] = true
 	p.Rec.InternBlock(b)
 	p.Rec.RecordComm(history.EvUpdate, p.ID, b.Parent, b.ID)
 	if p.OnCommit != nil {
@@ -317,7 +314,7 @@ func (p *Process) onMessage(m simnet.Message) {
 	if !ok {
 		return
 	}
-	if p.seen[um.Block.ID] && m.From != p.ID {
+	if p.tree.Has(um.Block.ID) && m.From != p.ID {
 		// Duplicate delivery via flooding: receive recorded once.
 		if p.mDup != nil {
 			p.mDup.Inc(p.ID)
